@@ -277,15 +277,9 @@ func BenchmarkDetectorCascadeBatch8(b *testing.B)   { bench.DetectorCascadeBatch
 func BenchmarkDetectorCascadeBatch32(b *testing.B)  { bench.DetectorCascadeBatch32(b) }
 func BenchmarkDetectorCascadeBatch128(b *testing.B) { bench.DetectorCascadeBatch128(b) }
 
-// Sharded admission: 8 workers, each batching keys that route to its
-// own shard, so every admission takes the contention-free single-shard
-// path. The acceptance target is ≥1.5× the best batched-cascade row.
-// The Cross row drives the two-key rendezvous path (every admission
-// spans shards); its bar is graceful degradation versus the PairSerial
-// plain-cascade baseline.
-func BenchmarkDetectorCascadeSharded(b *testing.B)      { bench.DetectorCascadeSharded(b) }
-func BenchmarkDetectorCascadeShardedCross(b *testing.B) { bench.DetectorCascadeShardedCross(b) }
-func BenchmarkDetectorCascadePairSerial(b *testing.B)   { bench.DetectorCascadePairSerial(b) }
+// BenchmarkDetectorCascadePairSerial: a two-key spec through the plain
+// cascade, one thread.
+func BenchmarkDetectorCascadePairSerial(b *testing.B) { bench.DetectorCascadePairSerial(b) }
 
 // BenchmarkCascadeSlowPath forces every op through all three cascade
 // stages (filter hit → optimistic scan → precise check).

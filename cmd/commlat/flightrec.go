@@ -29,7 +29,6 @@ func cmdFlightrec(args []string) error {
 	jsonMode := fs.Bool("json", false, "write the flight-recorder document as JSON to stdout (tables go to stderr)")
 	out := fs.String("o", "", "also write the flight-recorder document as JSON to this file (- for stdout)")
 	percentiles := fs.String("percentiles", "", "write the stage-latency percentile document as JSON to this file (- for stdout)")
-	heatmap := fs.String("heatmap", "", "write the shard-load heatmap document as JSON to this file (- for stdout)")
 	auditOut := fs.String("audit", "", "write the controller audit trail as JSON to this file (- for stdout)")
 	max := fs.Int("max", 32, "flight records shown in the table (<=0 shows all)")
 	prof := addProfileFlags(fs)
@@ -62,7 +61,7 @@ func cmdFlightrec(args []string) error {
 	audit := telemetry.AuditTrail()
 
 	report := io.Writer(os.Stdout)
-	if *jsonMode || *out == "-" || *percentiles == "-" || *heatmap == "-" || *auditOut == "-" {
+	if *jsonMode || *out == "-" || *percentiles == "-" || *auditOut == "-" {
 		report = os.Stderr
 	}
 	if *jsonMode {
@@ -91,9 +90,6 @@ func cmdFlightrec(args []string) error {
 		return err
 	}
 	if err := writeDoc(*percentiles, telemetry.WritePercentilesJSON); err != nil {
-		return err
-	}
-	if err := writeDoc(*heatmap, telemetry.Default.WriteHeatmapJSON); err != nil {
 		return err
 	}
 	if err := writeDoc(*auditOut, telemetry.WriteAuditJSON); err != nil {

@@ -233,14 +233,13 @@ commands:
   specs     print every commutativity specification and its class
   strengthen  derive the strongest SIMPLE spec below a given one (§4.1)
   adaptive  run the §5 future-work adaptive scheme selector on the set
-            (-shards N overrides the cascade-sharded rung's shard count)
   trace     run one app with the telemetry event trace enabled; writes a
             Chrome trace_event JSON (and optionally JSONL) plus the
             per-method-pair conflict attribution table
   flightrec run one app with stage-latency histograms and the flight
             recorder enabled; prints the percentile table, recent
             admission records and the controller audit trail (-json,
-            -percentiles/-heatmap/-audit write the JSON documents)
+            -percentiles/-audit write the JSON documents)
   check     parse a textual specification file, classify and synthesize it
   all       run every quick experiment (tables, matrices, model, adaptive)
 
@@ -588,7 +587,6 @@ func cmdAdaptive(args []string) error {
 	window := fs.Int("window", 4, "overlap window (threads)")
 	seed := fs.Int64("seed", 1, "stream seed")
 	start := fs.String("start", "", "starting rung by name (default: the bottom of the ladder)")
-	shards := fs.Int("shards", 0, "shard count for the cascade-sharded rung (0: pick from the ShardController ladder for this GOMAXPROCS)")
 	auditOut := fs.String("audit", "", "write the controller decision audit trail as JSON to this file (- for stdout)")
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -598,15 +596,6 @@ func cmdAdaptive(args []string) error {
 		return err
 	}
 	ladder := adaptive.DefaultLadder()
-	nShards := *shards
-	if nShards <= 0 {
-		nShards = adaptive.NewShardController(0).Shards()
-	}
-	for i := range ladder {
-		if ladder[i].Name == "cascade-sharded" {
-			ladder[i] = adaptive.ShardedRung(nShards)
-		}
-	}
 	startRung := 0
 	if *start != "" {
 		startRung = -1

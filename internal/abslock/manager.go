@@ -90,15 +90,10 @@ type Manager struct {
 	mask    uint32
 	stripes []stripe
 
-	// fasts holds the pre-stripe conflict-signature prefilter tables
-	// (see prefilter.go): plans free of ds-lock acquisitions whose datum
+	// fast is the pre-stripe conflict-signature prefilter table (see
+	// prefilter.go): plans free of ds-lock acquisitions whose datum
 	// cells are unoccupied take their locks without a stripe mutex.
-	// NewManager keeps a single shared table; NewManagerSharded
-	// partitions the fast state by datum-key hash (fastFor) so workers
-	// whose keys stay in one shard never touch another shard's filter or
-	// slot words.
-	fasts    []*fastTable
-	fastMask uint32
+	fast *fastTable
 
 	tele *telemetry.Detector // mode-acquisition counters (mode vocabulary)
 
@@ -131,28 +126,13 @@ func numStripes() int {
 // more than 64 modes are rejected; Reduce() keeps real schemes far below
 // that.
 func NewManager(scheme *Scheme, keys map[string]KeyFunc) *Manager {
-	return newManagerWithStripes(scheme, keys, numStripes(), 1)
+	return newManagerWithStripes(scheme, keys, numStripes())
 }
 
-// NewManagerSharded is NewManager with the fast-path table partitioned
-// into shards (rounded up to a power of two) by datum-key hash, the
-// abslock mirror of gatekeeper.ShardedCascade's per-shard admission
-// state: conflicting acquisitions hash to the same datum key and hence
-// the same table, so verdicts are unchanged, but key-disjoint workers
-// stop sharing filter cells and slot freelists. shards <= 1 is
-// equivalent to NewManager.
-func NewManagerSharded(scheme *Scheme, keys map[string]KeyFunc, shards int) *Manager {
-	n := 1
-	for n < shards && n < 256 {
-		n <<= 1
-	}
-	return newManagerWithStripes(scheme, keys, numStripes(), n)
-}
-
-// newManagerWithStripes is the constructor with explicit stripe and
-// fast-table counts (powers of two). Tests use a single-stripe manager
-// as the reference oracle for the striped one.
-func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n, fastShards int) *Manager {
+// newManagerWithStripes is the constructor with an explicit stripe count
+// (a power of two). Tests use a single-stripe manager as the reference
+// oracle for the striped one.
+func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Manager {
 	if len(scheme.Modes) > maxModes {
 		panic(fmt.Sprintf("abslock: scheme has %d modes; the manager supports ≤ %d (reduce the scheme or split the ADT)", len(scheme.Modes), maxModes))
 	}
@@ -169,11 +149,7 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n, fastShard
 		m.stripes[i].held = map[*engine.Tx][]datumKey{}
 		m.stripes[i].mgr = m
 	}
-	m.fasts = make([]*fastTable, fastShards)
-	for i := range m.fasts {
-		m.fasts[i] = newFastTable(defaultFastSlots, 0)
-	}
-	m.fastMask = uint32(fastShards - 1)
+	m.fast = newFastTable(defaultFastSlots, 0)
 	for i := range scheme.Modes {
 		var mask uint64
 		for j := range scheme.Modes {
@@ -210,14 +186,6 @@ func fnv64(s string) uint64 {
 
 func (m *Manager) stripeIndex(dk *datumKey) int {
 	return int(uint32(dk.h>>32^dk.h) & m.mask)
-}
-
-// fastFor routes a datum-key hash to its fast table. The shard index
-// comes from the high bits of a golden-ratio product, independent of
-// both the stripe index and the filter's cell bits, so one hot stripe
-// or cell does not pile onto one table.
-func (m *Manager) fastFor(h uint64) *fastTable {
-	return m.fasts[uint32((h*0x9E3779B97F4A7C15)>>48)&m.fastMask]
 }
 
 // plannedAcq is one resolved acquisition of an invocation: its datum key
@@ -295,8 +263,7 @@ func (m *Manager) acquireSet(tx *engine.Tx, method string, args core.Vec, ret co
 
 // planAcqs resolves the pre- or post-phase acquisitions of one
 // invocation into plan (appended and returned), ordered by stripe with
-// the ds stripe (-1) first — the lock-free front half of acquireSet,
-// shared with the batch path.
+// the ds stripe (-1) first — the lock-free front half of acquireSet.
 func (m *Manager) planAcqs(plan []plannedAcq, method string, args core.Vec, ret core.Value, post bool) ([]plannedAcq, error) {
 	acqs := m.scheme.Acquire[method]
 	for i := range acqs {
@@ -482,7 +449,7 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, dk *datumKey, mode i
 		// for fast-path holders: a concurrent fast acquirer either sees
 		// this increment and diverts to the stripes, or published its
 		// slot early enough for the scan below to find it.
-		m.fastFor(dk.h).filter.Add(dk.h)
+		m.fast.filter.Add(dk.h)
 		if lst, hooked := s.held[tx]; !hooked {
 			if n := len(s.freeHeld); n > 0 {
 				lst = s.freeHeld[n-1]
@@ -520,7 +487,7 @@ func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, dk *datumKey, l *dl
 		return
 	}
 	dropHolder(l, tx)
-	m.fastFor(dk.h).filter.Remove(dk.h)
+	m.fast.filter.Remove(dk.h)
 	if lst := s.held[tx]; len(lst) > 0 {
 		n := len(lst) - 1
 		lst[n] = datumKey{}
@@ -587,7 +554,7 @@ func (s *stripe) ReleaseTx(tx *engine.Tx) {
 		dk := &lst[i]
 		if l := s.lookup(dk); l != nil {
 			dropHolder(l, tx)
-			s.mgr.fastFor(dk.h).filter.Remove(dk.h)
+			s.mgr.fast.filter.Remove(dk.h)
 			if len(l.holders) == 0 {
 				s.remove(dk)
 				s.recycle(l)
@@ -639,10 +606,7 @@ func dropHolder(l *dlock, tx *engine.Tx) {
 // HeldLocks reports how many distinct data locks are currently held,
 // fast-path holds included (for tests and diagnostics).
 func (m *Manager) HeldLocks() int {
-	n := 0
-	for _, ft := range m.fasts {
-		n += int(ft.nLive.Load())
-	}
+	n := int(m.fast.nLive.Load())
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()

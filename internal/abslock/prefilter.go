@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"commlat/internal/core"
 	"commlat/internal/engine"
 	"commlat/internal/sigfilter"
 	"commlat/internal/telemetry"
@@ -98,174 +97,46 @@ func newFastTable(capS int, filterBits int) *fastTable {
 // are retracted and the caller proceeds on the stripe path. Plans must
 // be free of ds-lock acquisitions.
 func (m *Manager) tryAcquire(tx *engine.Tx, plan []plannedAcq) bool {
+	ft := m.fast
 	n := len(plan)
 	var slots [8]uint32
-	var tabs [8]*fastTable
 	for i := 0; i < n; i++ {
-		ft := m.fastFor(plan[i].dk.h)
 		s, ok := ft.free.Pop()
 		if !ok {
-			m.retractFast(tabs[:i], slots[:i])
+			ft.retract(slots[:i])
 			return false
 		}
-		tabs[i], slots[i] = ft, s
+		slots[i] = s
 		ft.publish(s, tx.ID(), plan[i].dk.h, 1<<uint(plan[i].mode))
 	}
 	for i := 0; i < n; i++ {
 		h := plan[i].dk.h
-		ft := tabs[i]
-		// Self-counting is per table: entries routed to another shard's
-		// table cannot occupy this one's cells.
 		var self int32
 		for j := 0; j < n; j++ {
-			if tabs[j] == ft && ft.filter.SameCell(plan[j].dk.h, h) {
+			if ft.filter.SameCell(plan[j].dk.h, h) {
 				self++
 			}
 		}
 		if ft.filter.Count(h) > self {
-			m.retractFast(tabs[:n], slots[:n])
+			ft.retract(slots[:n])
 			return false
 		}
 	}
 	for i := 0; i < n; i++ {
-		tabs[i].attach(tx, slots[i])
+		ft.attach(tx, slots[i])
 		m.tele.ModeAcquire(uint16(plan[i].mode))
 	}
 	m.tele.CascadeFastAdmit()
 	return true
 }
 
-// AcquireBatch is PreAcquire across a batch of same-method invocations:
-// every member's pre-phase plan publishes to the fast table before any
-// member probes, amortizing the publication round and skipping stripe
-// traffic for the whole group. It returns the admitted prefix length.
-// The first member whose plan cannot take the pure fast path — a
-// ds-lock target, an unkeyable datum, slot exhaustion, a filter cell
-// shared with an earlier member, or an external holder — bounds the
-// batch; its publications (and everything after) are retracted, and the
-// caller re-runs from the boundary through PreAcquire, which reproduces
-// the serial verdict, conflicts included. Members admitted here hold
-// exactly the locks PreAcquire would have granted on its fast path.
-func (m *Manager) AcquireBatch(txs []*engine.Tx, method string, argss []core.Vec) int {
-	n := min(len(txs), len(argss))
-	if n == 0 {
-		return 0
+// retract frees just-published slots whose plan the probe refused.
+func (ft *fastTable) retract(slots []uint32) {
+	ft.relMu.Lock()
+	for _, s := range slots {
+		ft.releaseSlotLocked(s)
 	}
-	m.tele.IncInvocationN(n)
-
-	// Plan phase: resolve every member lock-free. A member needing the
-	// ds stripe (sidx -1 sorts first) or failing key resolution bounds
-	// the planning prefix.
-	flat := make([]plannedAcq, 0, n)
-	off := make([]int, n+1)
-	limit := n
-	var scratch [8]plannedAcq
-	for i := 0; i < n; i++ {
-		p, err := m.planAcqs(scratch[:0], method, argss[i], core.Value{}, false)
-		if err != nil || (len(p) > 0 && p[0].sidx < 0) {
-			limit = i
-			break
-		}
-		flat = append(flat, p...)
-		off[i+1] = len(flat)
-	}
-
-	// Publish phase: one slot per planned acquisition, every member live
-	// before any probes, each in its hash's fast table. Slot exhaustion
-	// bounds the batch (the stripe path still works for the remainder).
-	slots := make([]uint32, 0, len(flat))
-	tabs := make([]*fastTable, 0, len(flat))
-	for i := 0; i < limit; i++ {
-		start := len(slots)
-		exhausted := false
-		for k := off[i]; k < off[i+1]; k++ {
-			ft := m.fastFor(flat[k].dk.h)
-			s, ok := ft.free.Pop()
-			if !ok {
-				m.retractFast(tabs[start:], slots[start:])
-				slots, tabs = slots[:start], tabs[:start]
-				exhausted = true
-				break
-			}
-			slots = append(slots, s)
-			tabs = append(tabs, ft)
-			ft.publish(s, txs[i].ID(), flat[k].dk.h, 1<<uint(flat[k].mode))
-		}
-		if exhausted {
-			limit = i
-			break
-		}
-	}
-	np := len(slots) // published acquisitions: flat[:np] aligns with slots
-
-	// Probe phase, in admission order. Member i reproduces its serial
-	// fast-path verdict: a cell shared with an earlier member means the
-	// serial run would have seen that hold and diverted to the stripes,
-	// and a count above the batch's own contribution means an external
-	// holder; either bounds the batch. Cell comparisons are per table —
-	// entries in different fast tables never share a cell.
-	for i := 0; i < limit; i++ {
-		ok := true
-		for k := off[i]; k < off[i+1] && ok; k++ {
-			h := flat[k].dk.h
-			ft := tabs[k]
-			for j := 0; j < off[i]; j++ {
-				if tabs[j] == ft && ft.filter.SameCell(flat[j].dk.h, h) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			var selfAll int32
-			for j := 0; j < np; j++ {
-				if tabs[j] == ft && ft.filter.SameCell(flat[j].dk.h, h) {
-					selfAll++
-				}
-			}
-			if ft.filter.Count(h) > selfAll {
-				ok = false
-			}
-		}
-		if !ok {
-			m.retractFast(tabs[off[i]:np], slots[off[i]:np])
-			limit = i
-			break
-		}
-	}
-
-	for i := 0; i < limit; i++ {
-		for k := off[i]; k < off[i+1]; k++ {
-			tabs[k].attach(txs[i], slots[k])
-			m.tele.ModeAcquire(uint16(flat[k].mode))
-		}
-	}
-	m.tele.CascadeFastAdmitN(limit)
-	switch {
-	case limit == n:
-		m.tele.BatchWhole()
-	case limit == 0:
-		m.tele.BatchSerialized()
-	default:
-		m.tele.BatchSplit()
-	}
-	if limit < n {
-		m.tele.CascadeFilterHit()
-	}
-	return limit
-}
-
-func (m *Manager) retractFast(tabs []*fastTable, slots []uint32) {
-	for i := 0; i < len(slots); {
-		// One relMu acquisition per run of same-table slots.
-		ft := tabs[i]
-		ft.relMu.Lock()
-		for ; i < len(slots) && tabs[i] == ft; i++ {
-			ft.releaseSlotLocked(slots[i])
-		}
-		ft.relMu.Unlock()
-	}
+	ft.relMu.Unlock()
 }
 
 // publish fills a claimed slot and makes it discoverable: fields, then
@@ -354,7 +225,7 @@ func (ft *fastTable) releaseSlotLocked(s uint32) {
 // another transaction in an incompatible mode. Optimistic traversal:
 // any version change after following a link restarts the walk.
 func (m *Manager) conflictScan(tx *engine.Tx, dk *datumKey, mode int) error {
-	ft := m.fastFor(dk.h)
+	ft := m.fast
 	mask := m.incompat[mode]
 	myID := tx.ID()
 restart:
@@ -385,15 +256,6 @@ restart:
 	return nil
 }
 
-// FastHolds reports how many fast-path holds are currently live across
-// all fast tables (tests and diagnostics).
-func (m *Manager) FastHolds() int {
-	n := 0
-	for _, ft := range m.fasts {
-		n += int(ft.nLive.Load())
-	}
-	return n
-}
-
-// FastShards reports the number of fast-table shards (1 for NewManager).
-func (m *Manager) FastShards() int { return len(m.fasts) }
+// FastHolds reports how many fast-path holds are currently live (tests
+// and diagnostics).
+func (m *Manager) FastHolds() int { return int(m.fast.nLive.Load()) }

@@ -104,7 +104,7 @@ func TestFastPathSlotExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(s.Reduce(), nil)
-	m.fasts[0] = newFastTable(2, 0)
+	m.fast = newFastTable(2, 0)
 
 	const n = 8
 	txs := make([]*engine.Tx, n)
@@ -128,83 +128,6 @@ func TestFastPathSlotExhaustion(t *testing.T) {
 	for _, tx := range txs {
 		tx.Commit()
 	}
-	if got := m.FastHolds(); got != 0 {
-		t.Errorf("FastHolds = %d after drain, want 0", got)
-	}
-	if got := m.HeldLocks(); got != 0 {
-		t.Errorf("HeldLocks = %d after drain, want 0", got)
-	}
-}
-
-// TestAcquireBatch checks the batched mirror of the fast path: a
-// disjoint batch admits whole with every hold live and guarded, a batch
-// with an intra-batch collision bounds at the colliding member with its
-// publications retracted (so the serial re-run sees exactly the serial
-// state), and an external holder serializes the whole batch.
-func TestAcquireBatch(t *testing.T) {
-	m := newRWSetManager(t)
-
-	// Disjoint batch: every member fast-admits in one call.
-	txs := make([]*engine.Tx, 8)
-	argss := make([]core.Vec, 8)
-	for i := range txs {
-		txs[i] = engine.NewTx()
-		argss[i] = core.MakeVec(core.V(int64(100 + i)))
-	}
-	if got := m.AcquireBatch(txs, "add", argss); got != 8 {
-		t.Fatalf("disjoint AcquireBatch = %d, want 8", got)
-	}
-	if got := m.FastHolds(); got == 0 {
-		t.Fatalf("batch admission left no fast holds")
-	}
-	probe := engine.NewTx()
-	if err := m.PreAcquire(probe, "contains", core.MakeVec(core.V(int64(103)))); !engine.IsConflict(err) {
-		t.Fatalf("reader under a batch-held writer should conflict, got %v", err)
-	}
-	probe.Abort()
-	for _, tx := range txs {
-		tx.Commit()
-	}
-	if got := m.FastHolds(); got != 0 {
-		t.Fatalf("FastHolds = %d after batch commit, want 0", got)
-	}
-
-	// Intra-batch collision: keys {10, 11, 10, 12} bound the batch at the
-	// repeated key. The bounded member and its successor must be fully
-	// retracted — the serial re-run then reproduces serial verdicts:
-	// conflict for the duplicate, admission for the disjoint tail.
-	txs2 := make([]*engine.Tx, 4)
-	keys := []int64{10, 11, 10, 12}
-	argss2 := make([]core.Vec, 4)
-	for i := range txs2 {
-		txs2[i] = engine.NewTx()
-		argss2[i] = core.MakeVec(core.V(keys[i]))
-	}
-	if got := m.AcquireBatch(txs2, "add", argss2); got != 2 {
-		t.Fatalf("colliding AcquireBatch = %d, want prefix 2", got)
-	}
-	if err := m.PreAcquire(txs2[2], "add", argss2[2]); !engine.IsConflict(err) {
-		t.Fatalf("serial re-run of duplicate key should conflict, got %v", err)
-	}
-	if err := m.PreAcquire(txs2[3], "add", argss2[3]); err != nil {
-		t.Fatalf("serial re-run of disjoint tail should admit: %v", err)
-	}
-	for _, tx := range txs2 {
-		tx.Abort()
-	}
-
-	// External holder on a member's key: the serial path would conflict
-	// at member 0, so the batch admits nothing.
-	holder := engine.NewTx()
-	if err := m.PreAcquire(holder, "add", core.MakeVec(core.V(int64(50)))); err != nil {
-		t.Fatal(err)
-	}
-	tx3 := engine.NewTx()
-	if got := m.AcquireBatch([]*engine.Tx{tx3}, "add", []core.Vec{core.MakeVec(core.V(int64(50)))}); got != 0 {
-		t.Fatalf("batch under external holder = %d, want 0", got)
-	}
-	tx3.Abort()
-	holder.Commit()
 	if got := m.FastHolds(); got != 0 {
 		t.Errorf("FastHolds = %d after drain, want 0", got)
 	}

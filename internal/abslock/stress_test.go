@@ -31,7 +31,7 @@ func TestManagerStripedMatchesSingleStripeOracle(t *testing.T) {
 		}
 		scheme = scheme.Reduce()
 		striped := NewManager(scheme, nil)
-		oracle := newManagerWithStripes(scheme, nil, 1, 1)
+		oracle := newManagerWithStripes(scheme, nil, 1)
 
 		const nTx = 4
 		type pair struct{ s, o *engine.Tx }

@@ -97,11 +97,10 @@ type Rung struct {
 // (figure 3), liberal guarded locks (figure 2 via the footnote-6
 // extension), forward gatekeeper (figure 2), the gatekeeper behind the
 // cascade's signature filter and optimistic index — same verdicts as
-// the gatekeeper rung, cheaper admissions under low contention — and
-// the cascade behind the affinity router, which partitions admission
-// state by key so disjoint workers stop sharing cache lines. The last
-// three rungs share one verdict relation; they differ only in admission
-// cost, which is exactly what the controller's throughput samples rank.
+// the gatekeeper rung, cheaper admissions under low contention. The
+// last two rungs share one verdict relation; they differ only in
+// admission cost, which is exactly what the controller's throughput
+// samples rank.
 func DefaultLadder() []Rung {
 	seed := func(s intset.Set, elems []int64) intset.Set {
 		tx := engine.NewTx()
@@ -120,27 +119,7 @@ func DefaultLadder() []Rung {
 		{Name: "liberal", Make: func(e []int64) intset.Set { return seed(intset.NewLiberalLocked(intset.NewHashRep()), e) }},
 		{Name: "gatekeeper", Make: func(e []int64) intset.Set { return seed(intset.NewGatekept(intset.NewHashRep()), e) }},
 		{Name: "cascade", Make: func(e []int64) intset.Set { return seed(intset.NewCascaded(intset.NewHashRep()), e) }},
-		{Name: "cascade-sharded", Make: func(e []int64) intset.Set {
-			return seed(intset.NewShardedCascaded(func() intset.Rep { return intset.NewHashRep() }, 0), e)
-		}},
 	}
-}
-
-// ShardedRung builds the cascade-sharded rung with an explicit shard
-// count (0: gatekeeper.DefaultShards), for callers overriding the
-// default rung — e.g. commlat adaptive -shards.
-func ShardedRung(shards int) Rung {
-	return Rung{Name: "cascade-sharded", Make: func(e []int64) intset.Set {
-		s := intset.NewShardedCascaded(func() intset.Rep { return intset.NewHashRep() }, shards)
-		tx := engine.NewTx()
-		for _, x := range e {
-			if _, err := s.Add(tx, x); err != nil {
-				panic(fmt.Sprintf("adaptive: seeding conflicted: %v", err))
-			}
-		}
-		tx.Commit()
-		return s
-	}}
 }
 
 // Trace is the record of an adaptive run.

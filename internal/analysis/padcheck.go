@@ -12,7 +12,7 @@ import (
 // whole cache line. A pad that shrinks below the line under refactoring
 // (a field removed, a [56]byte pad left behind a now-smaller prefix)
 // silently reintroduces the false sharing the pad was bought to prevent;
-// the telemetry latency shards and the sharded gatekeeper's tickets both
+// the telemetry latency shards and the abslock stripes both
 // depend on this.
 var PadCheck = &Analyzer{
 	Name: "padcheck",

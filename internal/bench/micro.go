@@ -54,13 +54,10 @@ func Micros() []Micro {
 		{"DetectorCascadeBatch8", DetectorCascadeBatch8},
 		{"DetectorCascadeBatch32", DetectorCascadeBatch32},
 		{"DetectorCascadeBatch128", DetectorCascadeBatch128},
-		{"DetectorCascadeSharded", DetectorCascadeSharded},
-		{"DetectorCascadeShardedCross", DetectorCascadeShardedCross},
 		{"DetectorCascadePairSerial", DetectorCascadePairSerial},
 		{"DetectorForwardGatekeeper/latency", DetectorForwardGatekeeperLatency},
 		{"DetectorCascadeGatekeeper/latency", DetectorCascadeGatekeeperLatency},
 		{"DetectorCascadeBatch32/latency", DetectorCascadeBatch32Latency},
-		{"DetectorCascadeSharded/latency", DetectorCascadeShardedLatency},
 		{"TelemetryLatencyObserve", TelemetryLatencyObserve},
 		{"TelemetryFlightRecord", TelemetryFlightRecord},
 	}
@@ -194,6 +191,43 @@ func DetectorCascadeBatch128(b *testing.B) {
 	benchSetAddBatch(b, intset.NewCascaded(intset.NewHashRep()), 128)
 }
 
+// pairBenchSpec is a two-key workload: link(x, y) commutes with another
+// link only when both positions differ, so each admission publishes two
+// keys.
+func pairBenchSpec() *core.Spec {
+	sig := &core.ADTSig{Name: "graphbench", Methods: []core.MethodSig{
+		{Name: "link", Params: []string{"x", "y"}, HasRet: true},
+	}}
+	s := core.NewSpec(sig)
+	s.Set("link", "link", core.And(
+		core.Ne(core.Arg1(0), core.Arg2(0)),
+		core.Ne(core.Arg1(1), core.Arg2(1))))
+	return s
+}
+
+// DetectorCascadePairSerial: the two-key spec through a plain cascade,
+// one thread — the cascade's cost when every admission publishes and
+// probes two keys.
+func DetectorCascadePairSerial(b *testing.B) {
+	c, err := gatekeeper.NewCascade(pairBenchSpec(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec := func() gatekeeper.Effect { return gatekeeper.Effect{Ret: core.VBool(true)} }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := engine.GetTx()
+		x := int64(i & 1023)
+		y := int64(4096 + (i & 1023))
+		if _, err := c.Invoke(tx, "link", core.Args2(core.VInt(x), core.VInt(y)), exec); err != nil {
+			b.Fatal(err)
+		}
+		tx.Commit()
+		engine.PutTx(tx)
+	}
+}
+
 func benchUnionFind(b *testing.B, uf unionfind.Sets) {
 	b.Helper()
 	b.ReportAllocs()
@@ -283,12 +317,6 @@ func DetectorCascadeGatekeeperLatency(b *testing.B) {
 // plus one group flight record per batch.
 func DetectorCascadeBatch32Latency(b *testing.B) {
 	withLatency(b, DetectorCascadeBatch32)
-}
-
-// DetectorCascadeShardedLatency is DetectorCascadeSharded with latency
-// attribution and the flight recorder on.
-func DetectorCascadeShardedLatency(b *testing.B) {
-	withLatency(b, DetectorCascadeSharded)
 }
 
 // TelemetryLatencyObserve measures one enabled stage observation — the

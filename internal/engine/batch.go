@@ -229,9 +229,9 @@ func (bw *batchWorker[T]) retryOne(wl *Worklist[T], w int, item T, first error,
 	var oneErr [1]error
 	rc.aborts.Add(1) // the failed batch attempt
 	backoff := time.Microsecond
-	for attempt := 1; ; attempt++ {
-		if opts.MaxRetries > 0 && attempt >= opts.MaxRetries {
-			return fmt.Errorf("engine: item retried %d times without committing: %w", attempt, first)
+	for retries := 0; ; retries++ {
+		if opts.MaxRetries > 0 && retries >= opts.MaxRetries {
+			return fmt.Errorf("engine: item retried %d times without committing: %w", retries, first)
 		}
 		if backoff >= opts.maxBackoff() {
 			rc.maxed.Add(1)
@@ -269,15 +269,5 @@ func (bw *batchWorker[T]) retryOne(wl *Worklist[T], w int, item T, first error,
 
 // RunItemsBatched is RunBatched over a fresh worklist seeded from items.
 func RunItemsBatched[T any](items []T, opts Options, body BatchBody[T]) (Stats, error) {
-	return RunBatched(NewWorklistShards(opts.WorklistShards, items...), opts, body)
-}
-
-// RunItemsAffinity is RunItemsBatched over a worklist whose items are
-// pre-routed to the shard affinity names for each (see
-// NewWorklistAffinity): batches then arrive as contiguous same-affinity
-// runs, so a sharded detector's batched admission stays on its
-// single-writer path. The worklist shard count follows
-// opts.WorklistShards (0: automatic).
-func RunItemsAffinity[T any](items []T, affinity func(T) int, opts Options, body BatchBody[T]) (Stats, error) {
-	return RunBatched(NewWorklistAffinity(opts.WorklistShards, affinity, items...), opts, body)
+	return RunBatched(NewWorklist(items...), opts, body)
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,6 +143,13 @@ func TestWorklistFIFOOrder(t *testing.T) {
 			t.Fatalf("pop %d = %v, %v", i, it, ok)
 		}
 		wl.done()
+	}
+}
+
+func TestWorklistShardCounts(t *testing.T) {
+	n := NewWorklist[int]().shardCount()
+	if n < 2 || n > wlMaxShards || n&(n-1) != 0 {
+		t.Fatalf("automatic shard count %d: want a power of two in [2, %d]", n, wlMaxShards)
 	}
 }
 
@@ -310,12 +319,39 @@ func TestRunPropagatesFatalError(t *testing.T) {
 	}
 }
 
+// TestRunMaxRetries checks the livelock guard in both executors: an
+// item that always conflicts gets exactly MaxRetries retries
+// (MaxRetries+1 body calls) before the run fails with an error naming
+// the retry count.
 func TestRunMaxRetries(t *testing.T) {
-	_, err := RunItems([]int{1}, Options{Workers: 1, MaxRetries: 5}, func(tx *Tx, item int, wl *Worklist[int]) error {
-		return Conflict("forever")
-	})
-	if err == nil {
-		t.Error("expected livelock-guard error")
+	for _, limit := range []int{1, 5} {
+		want := fmt.Sprintf("retried %d times", limit)
+		calls := 0
+		_, err := RunItems([]int{1}, Options{Workers: 1, MaxRetries: limit}, func(tx *Tx, item int, wl *Worklist[int]) error {
+			calls++
+			return Conflict("forever")
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run MaxRetries=%d: err = %v, want %q", limit, err, want)
+		}
+		if calls != limit+1 {
+			t.Errorf("Run MaxRetries=%d: body called %d times, want %d", limit, calls, limit+1)
+		}
+
+		calls = 0
+		_, err = RunItemsBatched([]int{1}, Options{Workers: 1, MaxRetries: limit}, func(txs []*Tx, items []int, wl *Worklist[int], errs []error) error {
+			for i := range items {
+				calls++
+				errs[i] = Conflict("forever")
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunBatched MaxRetries=%d: err = %v, want %q", limit, err, want)
+		}
+		if calls != limit+1 {
+			t.Errorf("RunBatched MaxRetries=%d: body called %d times, want %d", limit, calls, limit+1)
+		}
 	}
 }
 

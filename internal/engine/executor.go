@@ -48,8 +48,9 @@ type Options struct {
 	// small default; backoff doubles per consecutive abort of the same
 	// item up to this cap.
 	MaxBackoff time.Duration
-	// MaxRetries aborts the run with an error when a single item fails
-	// more than this many times (a livelock guard). 0 means unlimited.
+	// MaxRetries aborts the run with an error when a single item still
+	// conflicts after this many retries, i.e. on its MaxRetries+1st
+	// failed attempt (a livelock guard). 0 means unlimited.
 	MaxRetries int
 	// Seed seeds per-worker backoff randomization for reproducibility.
 	Seed int64
@@ -59,13 +60,6 @@ type Options struct {
 	// Sizer, when set, adapts RunBatched's batch size between batches
 	// (see BatchSizer); it overrides BatchSize. Ignored by Run.
 	Sizer BatchSizer
-	// WorklistShards overrides the shard count of worklists RunItems and
-	// RunItemsBatched build (rounded up to a power of two), so the
-	// executor's routing granularity can follow an admission-side shard
-	// count such as gatekeeper.ShardedCascade's. 0 keeps the automatic
-	// GOMAXPROCS-derived count. Ignored when the caller builds the
-	// worklist itself (Run, RunBatched).
-	WorklistShards int
 }
 
 func (o Options) workers() int {
@@ -212,8 +206,8 @@ func runItem[T any](wl *Worklist[T], w int, item T, body Body[T], rng *rand.Rand
 			return err
 		}
 		rc.aborts.Add(1)
-		if opts.MaxRetries > 0 && attempt+1 >= opts.MaxRetries {
-			return fmt.Errorf("engine: item retried %d times without committing: %w", attempt+1, err)
+		if opts.MaxRetries > 0 && attempt >= opts.MaxRetries {
+			return fmt.Errorf("engine: item retried %d times without committing: %w", attempt, err)
 		}
 		if backoff >= opts.maxBackoff() {
 			rc.maxed.Add(1)
@@ -250,5 +244,5 @@ func itemKey(v any) int64 {
 
 // RunItems is a convenience wrapper seeding a fresh worklist from a slice.
 func RunItems[T any](items []T, opts Options, body Body[T]) (Stats, error) {
-	return Run(NewWorklistShards(opts.WorklistShards, items...), opts, body)
+	return Run(NewWorklist(items...), opts, body)
 }

@@ -43,20 +43,12 @@ type wlShared[T any] struct {
 	pushes atomic.Uint64
 }
 
-// maxAutoWorklistShards caps the automatic shard count; explicit counts
-// (Options.WorklistShards, NewWorklistShards) may exceed it up to
-// maxWorklistShards, so the executor's worklist sharding can follow an
-// admission shard count chosen elsewhere.
-const (
-	maxAutoWorklistShards = 64
-	maxWorklistShards     = 1 << 16
-)
+// wlMaxShards caps the shard count.
+const wlMaxShards = 64
 
-// wlShardsFor picks the shard count. n <= 0 means automatic: the
-// smallest power of two covering GOMAXPROCS, at least 2 (so stealing is
-// exercised even single-threaded) and at most maxAutoWorklistShards.
-// An explicit n rounds up to a power of two, capped only by the
-// generous maxWorklistShards sanity bound.
+// wlShardsFor picks the shard count: the smallest power of two covering
+// GOMAXPROCS, at least 2 (so stealing is exercised even single-threaded)
+// and at most wlMaxShards.
 //
 // The count is sampled exactly once, at construction, and the worklist
 // keeps that shard array for its whole life — deliberately so. A
@@ -68,78 +60,24 @@ const (
 // against any snapshot: shrinking GOMAXPROCS just leaves some shards
 // cold, growing it doubles workers up on home shards. Both degrade
 // locality, never correctness.
-func wlShardsFor(n int) int {
-	if n <= 0 {
-		k := 2
-		for k < runtime.GOMAXPROCS(0) && k < maxAutoWorklistShards {
-			k <<= 1
-		}
-		return k
-	}
-	k := 1
-	for k < n && k < maxWorklistShards {
+func wlShardsFor() int {
+	k := 2
+	for k < runtime.GOMAXPROCS(0) && k < wlMaxShards {
 		k <<= 1
 	}
 	return k
 }
 
-// NewWorklist creates a worklist seeded with items, with the automatic
-// shard count. The returned handle is pinned to shard 0: pushes and
-// pops through it are strictly FIFO.
+// NewWorklist creates a worklist seeded with items. The returned handle
+// is pinned to shard 0: pushes and pops through it are strictly FIFO.
 func NewWorklist[T any](items ...T) *Worklist[T] {
-	return NewWorklistShards(0, items...)
-}
-
-// NewWorklistShards is NewWorklist with an explicit shard count
-// (rounded up to a power of two; <= 0 means automatic), for callers
-// aligning the worklist's sharding with an admission-side shard count.
-func NewWorklistShards[T any](shards int, items ...T) *Worklist[T] {
-	s := &wlShared[T]{shards: make([]wlShard[T], wlShardsFor(shards))}
+	s := &wlShared[T]{shards: make([]wlShard[T], wlShardsFor())}
 	s.shards[0].items = append(s.shards[0].items, items...)
 	return &Worklist[T]{s: s, home: 0}
 }
 
-// NewWorklistAffinity creates a worklist with an explicit shard count
-// and seeds each item into the shard affinity names for it (reduced
-// modulo the rounded shard count; negative affinities land on shard 0).
-// Workers then drain their home shards first and PopBatch takes
-// contiguous same-shard runs, so batches arrive grouped by affinity —
-// e.g. a gatekeeper.ShardedCascade's KeyOf, letting InvokeBatch's
-// single-shard fast path fire on whole batches.
-func NewWorklistAffinity[T any](shards int, affinity func(T) int, items ...T) *Worklist[T] {
-	s := &wlShared[T]{shards: make([]wlShard[T], wlShardsFor(shards))}
-	n := len(s.shards)
-	for _, it := range items {
-		a := affinity(it) % n
-		if a < 0 {
-			a = 0
-		}
-		s.shards[a].items = append(s.shards[a].items, it)
-	}
-	return &Worklist[T]{s: s, home: 0}
-}
-
-// Shards reports the worklist's shard count.
-func (w *Worklist[T]) Shards() int { return len(w.s.shards) }
-
-// PushShard adds items directly to a specific shard (reduced modulo the
-// shard count), regardless of the view's home — the producer-side
-// mirror of NewWorklistAffinity for items generated mid-run.
-func (w *Worklist[T]) PushShard(shard int, items ...T) {
-	if len(items) == 0 {
-		return
-	}
-	n := len(w.s.shards)
-	shard %= n
-	if shard < 0 {
-		shard = 0
-	}
-	sh := &w.s.shards[shard]
-	sh.mu.Lock()
-	sh.items = append(sh.items, items...)
-	w.s.pushes.Add(1)
-	sh.mu.Unlock()
-}
+// shardCount reports the worklist's shard count (for tests).
+func (w *Worklist[T]) shardCount() int { return len(w.s.shards) }
 
 // forWorker returns worker w's view of the same worklist.
 func (w *Worklist[T]) forWorker(i int) *Worklist[T] {

@@ -393,44 +393,6 @@ func (g *Forward) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 	return ret, err
 }
 
-// InvokeBatch admits ops in order under a single mutex acquisition —
-// the serial execute-then-check loop with the per-invocation lock
-// traffic amortized across the batch. It stops at the first refusal
-// and returns the admitted prefix length: the bounding member's effect
-// has been undone by the ordinary conflict path and members past it
-// were never executed, so the caller re-runs everything from the
-// boundary through the serial path, reproducing the refusal verdict
-// (and its error) for the bounding op itself. Admitted members' Ret
-// fields are filled in place; exec is called once per member with a
-// one-element run.
-func (g *Forward) InvokeBatch(ops []BatchOp, exec func(run []BatchOp)) int {
-	if len(ops) == 0 {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.tele.IncInvocationN(len(ops))
-	for i := range ops {
-		op := &ops[i]
-		ret, err := g.invokeLocked(op.Tx, op.Method, op.Args, func() Effect {
-			run := ops[i : i+1]
-			exec(run)
-			return Effect{Ret: run[0].Ret, Undo: run[0].Undo}
-		})
-		if err != nil {
-			if i == 0 {
-				g.tele.BatchSerialized()
-			} else {
-				g.tele.BatchSplit()
-			}
-			return i
-		}
-		op.Ret = ret
-	}
-	g.tele.BatchWhole()
-	return len(ops)
-}
-
 // invokeLocked is Invoke's body; the caller holds g.mu and has counted
 // the invocation.
 func (g *Forward) invokeLocked(tx *engine.Tx, method string, args core.Vec, exec func() Effect) (core.Value, error) {

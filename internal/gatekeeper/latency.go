@@ -121,26 +121,3 @@ func (g *Forward) obsInvoke(tx *engine.Tx, method string, t0 int64, err error) {
 		telemetry.RecordFlight(w, &rec)
 	}
 }
-
-// obsRendezvous records the rendezvous-stage latency and flight record
-// of one cross-shard admission. t0 spans the whole rendezvous (ticket
-// acquisition through verdict); shards is the bitmask of shard IDs
-// (mod 64) the admission touched.
-func obsRendezvous(tx *engine.Tx, det *telemetry.Detector, mid uint16, t0 int64, shards uint64, err error) {
-	w := tx.Worker()
-	var durNS int64
-	if t0 != 0 {
-		durNS = telemetry.StageObserve(w, telemetry.StageRendezvous, t0) - t0
-	}
-	if telemetry.FlightEnabled() {
-		rec := telemetry.FlightRecord{
-			Tx: tx.ID(), Det: det.ID(), Method: mid,
-			Verdict: telemetry.FlightAdmitted, Shards: shards,
-		}
-		if err != nil {
-			rec.Verdict = telemetry.FlightConflict
-		}
-		rec.Mark(telemetry.StageRendezvous, durNS)
-		telemetry.RecordFlight(w, &rec)
-	}
-}

@@ -1,8 +1,7 @@
 // Controller audit trail: a small always-on ring of adaptive-controller
 // decisions, so a ladder move is explainable after the fact. Each entry
 // records the window observation that triggered the evaluation (the
-// conflict rate and, for the shard controller, the crossing rate), the
-// hysteresis thresholds in force, which side of the dead band the rate
+// conflict rate), the hysteresis thresholds in force, which side of the dead band the rate
 // landed on, and the rung chosen — including "hold" evaluations, since
 // the absence of a move under a suspicious rate is exactly what an
 // operator wants to audit.
@@ -28,7 +27,7 @@ const (
 )
 
 // AuditEntry is one controller window evaluation. FromRung/ToRung are
-// rung *values* (batch size, shard count, or ladder rung index) rather
+// rung *values* (batch size or ladder rung index) rather
 // than positions, so the trail reads without the ladder at hand.
 type AuditEntry struct {
 	TS           int64   `json:"ts_ns"`
@@ -36,7 +35,6 @@ type AuditEntry struct {
 	Det          uint16  `json:"detector_id,omitempty"`
 	Window       int     `json:"window"`
 	ConflictRate float64 `json:"conflict_rate"`
-	CrossRate    float64 `json:"crossing_rate,omitempty"`
 	Lo           float64 `json:"lo"`
 	Hi           float64 `json:"hi"`
 	FromRung     int     `json:"from_rung"`

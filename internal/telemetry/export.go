@@ -209,8 +209,7 @@ func FormatAttribution(s Snapshot) string {
 	fmt.Fprintf(&b, "engine: %d begun, %d committed, %d aborted\n",
 		s.Engine.TxBegun, s.Engine.TxCommitted, s.Engine.TxAborted)
 	for _, d := range s.Detectors {
-		if d.Invocations == 0 && d.Checks == 0 && d.Conflicts == 0 && len(d.Modes) == 0 &&
-			d.ShardLocal == 0 && d.ShardCross == 0 {
+		if d.Invocations == 0 && d.Checks == 0 && d.Conflicts == 0 && len(d.Modes) == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "\ndetector %s/%s (#%d): %d invocations, %d checks, %d conflicts",
@@ -226,17 +225,6 @@ func FormatAttribution(s Snapshot) string {
 		if d.BatchesWhole > 0 || d.BatchesSplit > 0 || d.BatchesSerial > 0 {
 			fmt.Fprintf(&b, "; batches %d whole, %d split, %d serialized",
 				d.BatchesWhole, d.BatchesSplit, d.BatchesSerial)
-		}
-		if d.ShardLocal > 0 || d.ShardCross > 0 {
-			rate := 0.0
-			if t := d.ShardLocal + d.ShardCross; t > 0 {
-				rate = 100 * float64(d.ShardCross) / float64(t)
-			}
-			fmt.Fprintf(&b, "; sharding %d local, %d crossing (%.1f%% crossing)",
-				d.ShardLocal, d.ShardCross, rate)
-		}
-		if d.Shard > 0 {
-			fmt.Fprintf(&b, " [shard %d]", d.Shard)
 		}
 		if d.Rollbacks > 0 {
 			fmt.Fprintf(&b, "; %d rollbacks", d.Rollbacks)
@@ -331,8 +319,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	counter("commlat_batches_whole_total", "Admission batches admitted whole.", func(d DetectorSnapshot) uint64 { return d.BatchesWhole })
 	counter("commlat_batches_split_total", "Admission batches split into a grouped prefix and a serialized rest.", func(d DetectorSnapshot) uint64 { return d.BatchesSplit })
 	counter("commlat_batches_serialized_total", "Admission batches fully serialized.", func(d DetectorSnapshot) uint64 { return d.BatchesSerial })
-	counter("commlat_shard_local_total", "Admissions routed to a single shard.", func(d DetectorSnapshot) uint64 { return d.ShardLocal })
-	counter("commlat_shard_cross_total", "Admissions that crossed shards (rendezvous).", func(d DetectorSnapshot) uint64 { return d.ShardCross })
 
 	p("# HELP commlat_detector_active_high_water Peak active-log size.\n# TYPE commlat_detector_active_high_water gauge\n")
 	for _, d := range s.Detectors {

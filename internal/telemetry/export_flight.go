@@ -20,7 +20,6 @@ type FlightStagesJSON struct {
 	SigFilterNS    uint32 `json:"sig_filter_ns,omitempty"`
 	OptIndexNS     uint32 `json:"opt_index_ns,omitempty"`
 	PreciseNS      uint32 `json:"precise_ns,omitempty"`
-	RendezvousNS   uint32 `json:"rendezvous_ns,omitempty"`
 	BatchPublishNS uint32 `json:"batch_publish_ns,omitempty"`
 	BatchProbeNS   uint32 `json:"batch_probe_ns,omitempty"`
 	CommitNS       uint32 `json:"commit_release_ns,omitempty"`
@@ -38,7 +37,6 @@ type FlightRecordJSON struct {
 	Verdict  string           `json:"verdict"`
 	Retries  int              `json:"retries,omitempty"`
 	N        int              `json:"n,omitempty"`
-	Shards   []int            `json:"shards,omitempty"`
 	Stages   []string         `json:"stages,omitempty"`
 	StageNS  FlightStagesJSON `json:"stage_ns"`
 }
@@ -69,11 +67,6 @@ func (r *Registry) flightJSON(rec *FlightRecord) FlightRecordJSON {
 		Detector: r.detName(rec.Det), Method: r.label(rec.Det, rec.Method),
 		Verdict: rec.Verdict.String(), Retries: int(rec.Retries), N: int(rec.N),
 	}
-	for sh := 0; sh < 64; sh++ {
-		if rec.Shards&(1<<sh) != 0 {
-			j.Shards = append(j.Shards, sh)
-		}
-	}
 	for st := Stage(0); st < NumStages; st++ {
 		if rec.Stages&(1<<st) != 0 {
 			j.Stages = append(j.Stages, st.String())
@@ -83,7 +76,6 @@ func (r *Registry) flightJSON(rec *FlightRecord) FlightRecordJSON {
 		SigFilterNS:    rec.StageNS[StageSigFilter],
 		OptIndexNS:     rec.StageNS[StageOptIndex],
 		PreciseNS:      rec.StageNS[StagePrecise],
-		RendezvousNS:   rec.StageNS[StageRendezvous],
 		BatchPublishNS: rec.StageNS[StageBatchPublish],
 		BatchProbeNS:   rec.StageNS[StageBatchProbe],
 		CommitNS:       rec.StageNS[StageCommit],
@@ -106,82 +98,6 @@ func WritePercentilesJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(SnapshotLatency())
-}
-
-// --- Shard-load heatmap ---------------------------------------------------
-
-// ShardLoad is one per-shard member detector's load row. Share is the
-// shard's fraction of its router group's total invocations — the
-// heatmap cell.
-type ShardLoad struct {
-	Detector    string  `json:"detector"`
-	ID          uint16  `json:"id"`
-	Shard       int64   `json:"shard"`
-	Invocations uint64  `json:"invocations"`
-	Conflicts   uint64  `json:"conflicts"`
-	FastAdmits  uint64  `json:"fast_admits,omitempty"`
-	Share       float64 `json:"share"`
-}
-
-// RouterLoad is one sharded router's local/crossing split.
-type RouterLoad struct {
-	Detector     string  `json:"detector"`
-	ID           uint16  `json:"id"`
-	Local        uint64  `json:"local"`
-	Cross        uint64  `json:"cross"`
-	CrossingRate float64 `json:"crossing_rate"`
-}
-
-// HeatmapDoc is the shard-load heatmap document: per-shard invocation
-// shares grouped by detector, plus each router's crossing split.
-type HeatmapDoc struct {
-	Routers []RouterLoad `json:"routers"`
-	Shards  []ShardLoad  `json:"shards"`
-}
-
-// Heatmap builds the shard-load heatmap from the registry's counters:
-// every detector marked as a shard member (SetShard) becomes a cell,
-// normalized within its kind/adt group; every detector that routed
-// admissions (local or crossing counts) becomes a router row.
-func (r *Registry) Heatmap() HeatmapDoc {
-	s := r.Snapshot()
-	doc := HeatmapDoc{}
-	groupTotal := map[string]uint64{}
-	for _, d := range s.Detectors {
-		if d.Shard > 0 {
-			groupTotal[d.Kind+"/"+d.ADT] += d.Invocations
-		}
-	}
-	for _, d := range s.Detectors {
-		if d.ShardLocal > 0 || d.ShardCross > 0 {
-			t := d.ShardLocal + d.ShardCross
-			doc.Routers = append(doc.Routers, RouterLoad{
-				Detector: d.Kind + "/" + d.ADT, ID: d.ID,
-				Local: d.ShardLocal, Cross: d.ShardCross,
-				CrossingRate: float64(d.ShardCross) / float64(t),
-			})
-		}
-		if d.Shard > 0 {
-			name := d.Kind + "/" + d.ADT
-			share := 0.0
-			if t := groupTotal[name]; t > 0 {
-				share = float64(d.Invocations) / float64(t)
-			}
-			doc.Shards = append(doc.Shards, ShardLoad{
-				Detector: name, ID: d.ID, Shard: d.Shard,
-				Invocations: d.Invocations, Conflicts: d.Conflicts,
-				FastAdmits: d.FastAdmits, Share: share,
-			})
-		}
-	}
-	return doc
-}
-
-// WriteHeatmapJSON writes the shard-load heatmap as indented JSON.
-func (r *Registry) WriteHeatmapJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Heatmap())
 }
 
 // --- Controller audit JSON ------------------------------------------------
@@ -249,11 +165,11 @@ func FormatAuditTable(entries []AuditEntry) string {
 	if len(entries) == 0 {
 		return "(no controller decisions recorded)\n"
 	}
-	fmt.Fprintf(&b, "%-12s %-16s %8s %10s %10s %6s %6s %-8s\n",
-		"ts ns", "controller", "window", "conflict", "crossing", "from", "to", "reason")
+	fmt.Fprintf(&b, "%-12s %-16s %8s %10s %6s %6s %-8s\n",
+		"ts ns", "controller", "window", "conflict", "from", "to", "reason")
 	for _, e := range entries {
-		fmt.Fprintf(&b, "%-12d %-16s %8d %9.4f%% %9.4f%% %6d %6d %-8s\n",
-			e.TS, e.Controller, e.Window, 100*e.ConflictRate, 100*e.CrossRate,
+		fmt.Fprintf(&b, "%-12d %-16s %8d %9.4f%% %6d %6d %-8s\n",
+			e.TS, e.Controller, e.Window, 100*e.ConflictRate,
 			e.FromRung, e.ToRung, e.Reason)
 	}
 	return b.String()

@@ -3,8 +3,7 @@
 // event tracer answers "what happened, in order", the flight recorder
 // answers "what did the last N admissions cost and why": each record
 // carries the verdict, the set of stages the admission traversed with
-// per-stage tick counts, the shard set it touched, and how many times
-// it was retried.
+// per-stage tick counts, and how many times it was retried.
 //
 // Reclamation realizes the ROADMAP's epoch-based log-reclamation item
 // for the telemetry rings: records are never released individually.
@@ -61,15 +60,13 @@ func (v FlightVerdict) String() string {
 // per-stage tick counts (nanoseconds, saturating at ~4.29s per stage)
 // for the stages whose bit is set in Stages; both are filled from the
 // same LatClock marks the histograms use, so they are only non-zero
-// while latency recording is on. Shards is a bitmask of the shard IDs
-// (mod 64) the admission touched; 0 for unsharded detectors. N is the
-// batch length for Batch* verdicts, 0 for single admissions.
+// while latency recording is on. N is the batch length for Batch*
+// verdicts, 0 for single admissions.
 type FlightRecord struct {
 	TS      int64 // ns on the latency clock
 	Tx      uint64
 	Epoch   uint64
 	StageNS [NumStages]uint32
-	Shards  uint64
 	Det     uint16
 	Method  uint16
 	Worker  uint16

@@ -17,7 +17,6 @@ import (
 //	                           for the Default registry)
 //	/debug/commlat/flightrec   flight-recorder snapshot (JSON)
 //	/debug/commlat/percentiles stage-latency percentile dump (JSON)
-//	/debug/commlat/heatmap     shard-load heatmap (JSON)
 //	/debug/commlat/audit       controller decision audit trail (JSON)
 //
 // cmd/commlat mounts this behind the global -listen flag.
@@ -45,10 +44,6 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = WritePercentilesJSON(w)
 	})
-	mux.HandleFunc("/debug/commlat/heatmap", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteHeatmapJSON(w)
-	})
 	mux.HandleFunc("/debug/commlat/audit", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = WriteAuditJSON(w)
@@ -65,7 +60,6 @@ func Handler(r *Registry) http.Handler {
 <li><a href="/debug/vars">/debug/vars</a> (expvar)</li>
 <li><a href="/debug/commlat/flightrec">/debug/commlat/flightrec</a> (flight-recorder snapshot)</li>
 <li><a href="/debug/commlat/percentiles">/debug/commlat/percentiles</a> (stage-latency percentiles)</li>
-<li><a href="/debug/commlat/heatmap">/debug/commlat/heatmap</a> (shard-load heatmap)</li>
 <li><a href="/debug/commlat/audit">/debug/commlat/audit</a> (controller audit trail)</li>
 </ul></body></html>`))
 	})

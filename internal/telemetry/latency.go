@@ -3,8 +3,8 @@
 // argument (§5) is about *where* a detector's nanoseconds go — a cheap
 // filter is only cheap if its misses are fast and its hits don't pay
 // the filter again — so the histograms are keyed by pipeline stage, not
-// by detector: signature filter, optimistic index, precise check, shard
-// rendezvous, batch publish/probe, commit/release.
+// by detector: signature filter, optimistic index, precise check,
+// batch publish/probe, commit/release.
 //
 // The recording discipline mirrors the event tracer: off by default
 // (LatClock is one atomic load returning 0, and a 0 start mark makes
@@ -33,7 +33,6 @@ const (
 	StageSigFilter    Stage = iota // stage 1: conflict-signature filter publish+probe
 	StageOptIndex                  // stage 2: optimistic seqlock slot-index scan
 	StagePrecise                   // stage 3: precise compiled pair check
-	StageRendezvous                // cross-shard ticket rendezvous (sharded router)
 	StageBatchPublish              // batched admission: group publish phase
 	StageBatchProbe                // batched admission: combined probe + screen phase
 	StageCommit                    // commit/release: slot retirement + undo disposal
@@ -42,7 +41,7 @@ const (
 
 // stageNames are the export spellings, index-aligned with the constants.
 var stageNames = [NumStages]string{
-	"sig_filter", "opt_index", "precise", "rendezvous",
+	"sig_filter", "opt_index", "precise",
 	"batch_publish", "batch_probe", "commit_release",
 }
 

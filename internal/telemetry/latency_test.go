@@ -196,7 +196,7 @@ func TestTelemetryAuditTrail(t *testing.T) {
 	}
 	// Overflow: the ring keeps the newest auditCap entries.
 	for i := 0; i < auditCap+10; i++ {
-		RecordAudit(AuditEntry{Controller: "shard", Window: i})
+		RecordAudit(AuditEntry{Controller: "batch", Window: i})
 	}
 	trail = AuditTrail()
 	if len(trail) != auditCap {
@@ -220,24 +220,15 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	defer ResetAudit()
 
 	r := NewRegistry()
-	router := r.Register("sharded", "set", []string{"add"})
-	router.ShardLocal()
-	router.ShardCross()
-	sh0 := r.Register("cascade", "set", []string{"add"})
-	sh0.SetShard(1)
-	sh0.IncInvocation()
-	sh1 := r.Register("cascade", "set", []string{"add"})
-	sh1.SetShard(2)
-	sh1.IncInvocation()
-	sh1.IncInvocation()
-	sh1.IncInvocation()
+	det := r.Register("cascade", "set", []string{"add"})
+	det.IncInvocation()
 
-	StageRecord(0, StageRendezvous, 500)
-	rec := FlightRecord{Tx: 7, Det: router.ID(), Verdict: FlightAdmitted, Shards: 0b11}
-	rec.Mark(StageRendezvous, 500)
+	StageRecord(0, StagePrecise, 500)
+	rec := FlightRecord{Tx: 7, Det: det.ID(), Verdict: FlightAdmitted}
+	rec.Mark(StagePrecise, 500)
 	RecordFlight(0, &rec)
-	RecordAudit(AuditEntry{Controller: "shard", Window: 512, ConflictRate: 0.001,
-		CrossRate: 0.002, Lo: 0.01, Hi: 0.05, FromRung: 4, ToRung: 8, Moved: true, Reason: AuditClimb})
+	RecordAudit(AuditEntry{Controller: "batch", Window: 512, ConflictRate: 0.001,
+		Lo: 0.01, Hi: 0.05, FromRung: 8, ToRung: 32, Moved: true, Reason: AuditClimb})
 
 	h := Handler(r)
 	get := func(path string) (int, string) {
@@ -269,26 +260,11 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	if len(fd.Records) != 1 || fd.Records[0].Verdict != "admitted" {
 		t.Fatalf("flight doc: %+v", fd)
 	}
-	if got := fd.Records[0].Shards; len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("shard list: %v", got)
-	}
-	if fd.Records[0].Detector != "sharded/set" {
+	if fd.Records[0].Detector != "cascade/set" {
 		t.Fatalf("detector name: %q", fd.Records[0].Detector)
 	}
-
-	code, body = get("/debug/commlat/heatmap")
-	if code != 200 {
-		t.Fatalf("/heatmap: %d", code)
-	}
-	var hm HeatmapDoc
-	if err := json.Unmarshal([]byte(body), &hm); err != nil {
-		t.Fatalf("heatmap JSON: %v", err)
-	}
-	if len(hm.Routers) != 1 || len(hm.Shards) != 2 {
-		t.Fatalf("heatmap doc: %+v", hm)
-	}
-	if hm.Shards[0].Share+hm.Shards[1].Share < 0.999 {
-		t.Fatalf("shares do not cover the group: %+v", hm.Shards)
+	if fd.Records[0].StageNS.PreciseNS != 500 {
+		t.Fatalf("precise stage ns: %+v", fd.Records[0].StageNS)
 	}
 
 	code, body = get("/debug/commlat/audit")
@@ -308,10 +284,10 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("/metrics: %d", code)
 	}
 	for _, want := range []string{
-		"commlat_stage_latency_ns_bucket{stage=\"rendezvous\"",
-		"commlat_stage_latency_ns_count{stage=\"rendezvous\"} 1",
+		"commlat_stage_latency_ns_bucket{stage=\"precise\"",
+		"commlat_stage_latency_ns_count{stage=\"precise\"} 1",
 		"commlat_flight_epoch 0",
-		"commlat_controller_rung{controller=\"shard\"} 8",
+		"commlat_controller_rung{controller=\"batch\"} 32",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -332,7 +308,6 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 
 	r := NewRegistry()
 	d := r.Register("cascade", "set", []string{"add"})
-	d.SetShard(1)
 	h := Handler(r)
 
 	var writers, scrapers sync.WaitGroup
@@ -363,7 +338,7 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 	}
 	paths := []string{
 		"/metrics", "/debug/telemetry", "/debug/commlat/flightrec",
-		"/debug/commlat/percentiles", "/debug/commlat/heatmap", "/debug/commlat/audit",
+		"/debug/commlat/percentiles", "/debug/commlat/audit",
 	}
 	for s := 0; s < 2; s++ {
 		scrapers.Add(1)

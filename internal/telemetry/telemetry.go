@@ -94,14 +94,6 @@ type Detector struct {
 	batchSplit  atomic.Uint64 // batches split (a prefix grouped, the rest serialized)
 	batchSerial atomic.Uint64 // batches fully serialized (no member grouped)
 
-	// Shard routing counters (sharded detectors only). On a router
-	// detector, shardLocal/shardCross classify admissions by whether
-	// every key landed in one shard; shard (1-based, set once at
-	// construction) marks a per-shard member detector's position.
-	shard      atomic.Int64
-	shardLocal atomic.Uint64 // admissions routed to a single shard
-	shardCross atomic.Uint64 // admissions that crossed shards (rendezvous)
-
 	pairChecks    []atomic.Uint64 // n*n, by (first, second) label ID
 	pairConflicts []atomic.Uint64 // n*n
 	acquired      []atomic.Uint64 // n, per label (lock modes)
@@ -213,33 +205,6 @@ func (d *Detector) BatchSplit() { d.batchSplit.Add(1) }
 // BatchSerialized counts one admission batch that admitted no member as
 // a group (the whole batch ran the serial path).
 func (d *Detector) BatchSerialized() { d.batchSerial.Add(1) }
-
-// SetShard marks a per-shard member detector's 1-based position inside
-// a sharded router (0 = not a shard member). Called once at
-// construction, before the detector sees traffic.
-func (d *Detector) SetShard(i int) { d.shard.Store(int64(i)) }
-
-// ShardLocal counts one admission whose keys all landed in one shard
-// (the contention-free single-writer path).
-func (d *Detector) ShardLocal() { d.shardLocal.Add(1) }
-
-// ShardLocalN counts n single-shard admissions arriving as one batch
-// run (one atomic add for the group).
-func (d *Detector) ShardLocalN(n int) {
-	if n > 0 {
-		d.shardLocal.Add(uint64(n))
-	}
-}
-
-// ShardCross counts one admission whose keys straddled shards (or whose
-// method is not key-routable): the rendezvous path.
-func (d *Detector) ShardCross() { d.shardCross.Add(1) }
-
-// ShardLocals returns the single-shard admission count (for tests).
-func (d *Detector) ShardLocals() uint64 { return d.shardLocal.Load() }
-
-// ShardCrossings returns the cross-shard admission count (for tests).
-func (d *Detector) ShardCrossings() uint64 { return d.shardCross.Load() }
 
 // Check counts one pairwise commutativity evaluation of (first m1,
 // incoming m2), attributing it to the pair. The adaptive controller
@@ -371,9 +336,6 @@ type DetectorSnapshot struct {
 	BatchesWhole     uint64     `json:"batches_whole,omitempty"`
 	BatchesSplit     uint64     `json:"batches_split,omitempty"`
 	BatchesSerial    uint64     `json:"batches_serialized,omitempty"`
-	Shard            int64      `json:"shard,omitempty"`
-	ShardLocal       uint64     `json:"shard_local,omitempty"`
-	ShardCross       uint64     `json:"shard_cross,omitempty"`
 	ActiveHighWater  int64      `json:"active_high_water,omitempty"`
 	JournalHighWater int64      `json:"journal_high_water,omitempty"`
 	Pairs            []PairStat `json:"pairs,omitempty"`
@@ -403,9 +365,6 @@ func (d *Detector) Snapshot() DetectorSnapshot {
 		BatchesWhole:     d.batchWhole.Load(),
 		BatchesSplit:     d.batchSplit.Load(),
 		BatchesSerial:    d.batchSerial.Load(),
-		Shard:            d.shard.Load(),
-		ShardLocal:       d.shardLocal.Load(),
-		ShardCross:       d.shardCross.Load(),
 		ActiveHighWater:  d.activeHW.Load(),
 		JournalHighWater: d.journalHW.Load(),
 	}

@@ -196,9 +196,6 @@ type snapshotDoc struct {
 		BatchesWhole     uint64 `json:"batches_whole"`
 		BatchesSplit     uint64 `json:"batches_split"`
 		BatchesSerial    uint64 `json:"batches_serialized"`
-		Shard            int64  `json:"shard"`
-		ShardLocal       uint64 `json:"shard_local"`
-		ShardCross       uint64 `json:"shard_cross"`
 		ActiveHighWater  int64  `json:"active_high_water"`
 		JournalHighWater int64  `json:"journal_high_water"`
 		Pairs            []struct {
@@ -278,13 +275,11 @@ type flightDoc struct {
 		Verdict  string   `json:"verdict"`
 		Retries  int      `json:"retries"`
 		N        int      `json:"n"`
-		Shards   []int    `json:"shards"`
 		Stages   []string `json:"stages"`
 		StageNS  struct {
 			SigFilterNS    uint32 `json:"sig_filter_ns"`
 			OptIndexNS     uint32 `json:"opt_index_ns"`
 			PreciseNS      uint32 `json:"precise_ns"`
-			RendezvousNS   uint32 `json:"rendezvous_ns"`
 			BatchPublishNS uint32 `json:"batch_publish_ns"`
 			BatchProbeNS   uint32 `json:"batch_probe_ns"`
 			CommitNS       uint32 `json:"commit_release_ns"`
@@ -298,7 +293,7 @@ var flightVerdicts = map[string]bool{
 }
 
 var flightStages = map[string]bool{
-	"sig_filter": true, "opt_index": true, "precise": true, "rendezvous": true,
+	"sig_filter": true, "opt_index": true, "precise": true,
 	"batch_publish": true, "batch_probe": true, "commit_release": true,
 }
 
@@ -339,11 +334,6 @@ func checkFlight(r io.Reader) error {
 		for _, st := range rec.Stages {
 			if !flightStages[st] {
 				return fmt.Errorf("records[%d]: unknown stage %q", i, st)
-			}
-		}
-		for _, sh := range rec.Shards {
-			if sh < 0 || sh > 63 {
-				return fmt.Errorf("records[%d]: shard %d out of range", i, sh)
 			}
 		}
 		verdicts[rec.Verdict]++
@@ -423,7 +413,6 @@ type auditDoc struct {
 		Det          uint16  `json:"detector_id"`
 		Window       int     `json:"window"`
 		ConflictRate float64 `json:"conflict_rate"`
-		CrossRate    float64 `json:"crossing_rate"`
 		Lo           float64 `json:"lo"`
 		Hi           float64 `json:"hi"`
 		FromRung     int     `json:"from_rung"`
@@ -436,7 +425,7 @@ type auditDoc struct {
 var auditReasons = map[string]bool{"climb": true, "backoff": true, "hold": true, "pinned": true}
 
 // checkAudit validates a controller audit document (`commlat flightrec
-// -audit` or /debug/commlat/audit): known reasons, rates in [0,1],
+// -audit` or /debug/commlat/audit): known reasons, conflict rate in [0,1],
 // moves consistent with from/to rungs.
 func checkAudit(r io.Reader) error {
 	dec := json.NewDecoder(r)
@@ -459,8 +448,8 @@ func checkAudit(r io.Reader) error {
 		if !auditReasons[e.Reason] {
 			return fmt.Errorf("entries[%d]: unknown reason %q", i, e.Reason)
 		}
-		if e.ConflictRate < 0 || e.ConflictRate > 1 || e.CrossRate < 0 || e.CrossRate > 1 {
-			return fmt.Errorf("entries[%d]: rate outside [0,1]: conflict %g crossing %g", i, e.ConflictRate, e.CrossRate)
+		if e.ConflictRate < 0 || e.ConflictRate > 1 {
+			return fmt.Errorf("entries[%d]: conflict rate %g outside [0,1]", i, e.ConflictRate)
 		}
 		if e.Moved != (e.FromRung != e.ToRung) {
 			return fmt.Errorf("entries[%d]: moved=%v but rung %d -> %d", i, e.Moved, e.FromRung, e.ToRung)
